@@ -69,7 +69,7 @@ class SinCosNco {
 
 /// The pre-PR shaped-emitter render body, verbatim in structure: two fresh
 /// dsp::Buffer allocations per call, direct time-domain convolution through
-/// FirFilter::filter, power normalization over the whole block (warm-up
+/// FirFilter::filter_into, power normalization over the whole block (warm-up
 /// transient included), sin/cos pilot NCO.
 class Renderer {
  public:
@@ -91,7 +91,8 @@ class Renderer {
     for (auto& s : white)
       s = dsp::Sample(static_cast<float>(rng_.normal()),
                       static_cast<float>(rng_.normal()));
-    dsp::Buffer shaped = shaper_->filter(white);
+    dsp::Buffer shaped(n);
+    shaper_->filter_into(white, shaped);
 
     const double fraction_in_band = 1.0 - util::db_to_ratio(pilot_rel_db_);
     const double shaped_power = dsp::mean_power(shaped);

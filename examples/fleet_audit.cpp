@@ -11,10 +11,13 @@
 // view — trust ranking, verified capabilities, who can serve a concrete
 // monitoring request — plus the fleet-wide stage-timing percentiles from
 // the pipeline's instrumentation layer.
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "calib/anomaly.hpp"
@@ -81,16 +84,37 @@ std::vector<FleetEntry> generate_fleet(std::size_t count) {
   return fleet;
 }
 
+constexpr const char* kUsage =
+    "usage: fleet_audit [threads] [--threads=N] [--nodes=N] [--metrics-out=PATH]\n"
+    "                   [--trace-out=PATH] [--fault-profile=<name|json>]\n"
+    "                   [--anomaly-profile=<name|json>] [--anomaly-out=PATH]\n"
+    "                   [--health-out=PATH] [--events-out=PATH]\n"
+    "                   [--samples-out=PATH] [--slo-budget-ms=MS]\n";
+
+/// Reports a bad command line and returns the usage exit code (2).
+int usage_error(const std::string& why) {
+  std::cerr << "fleet_audit: " << why << "\n" << kUsage;
+  return 2;
+}
+
+/// Whole-string parse: empty text, a sign, non-numeric characters,
+/// trailing junk or an out-of-range value all fail (no atoi coercion).
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   constexpr std::uint64_t kSeed = 13;
 
-  // fleet_audit [threads] [--threads=N] [--nodes=N] [--metrics-out=PATH]
-  //             [--trace-out=PATH] [--fault-profile=<name|json>]
-  //             [--anomaly-profile=<name|json>] [--anomaly-out=PATH]
-  //             [--health-out=PATH] [--events-out=PATH] [--samples-out=PATH]
-  //             [--slo-budget-ms=MS]
+  // Command line: see kUsage. Malformed numbers and unknown flags print the
+  // usage and exit 2.
   // Fault profiles script a reproducible chaos run: built-ins "none",
   // "flaky20", "chaos", or an inline JSON document (sdr/fault.hpp). With a
   // profile active the retry/quarantine policy is enabled and the run
@@ -119,13 +143,25 @@ int main(int argc, char** argv) {
   sdr::FaultProfile fault_profile;
   scenario::AdversaryProfile anomaly_profile;
   bool anomaly_armed = false;
+  // Thread counts take 0 (hardware concurrency); fleets need >= 1 node.
+  const auto set_threads = [&threads](std::string_view text) {
+    const auto value = parse_number<unsigned>(text);
+    if (value) threads = *value;
+    return value.has_value();
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0)
-      threads = static_cast<unsigned>(std::atoi(arg.c_str() + 10));
-    else if (arg.rfind("--nodes=", 0) == 0)
-      fleet_size = static_cast<std::size_t>(std::atoll(arg.c_str() + 8));
-    else if (arg.rfind("--metrics-out=", 0) == 0)
+    if (arg.rfind("--threads=", 0) == 0) {
+      if (!set_threads(arg.substr(10)))
+        return usage_error("--threads wants a whole number >= 0, got '" +
+                           arg.substr(10) + "'");
+    } else if (arg.rfind("--nodes=", 0) == 0) {
+      const auto value = parse_number<std::size_t>(arg.substr(8));
+      if (!value || *value == 0)
+        return usage_error("--nodes wants a whole number >= 1, got '" +
+                           arg.substr(8) + "'");
+      fleet_size = *value;
+    } else if (arg.rfind("--metrics-out=", 0) == 0)
       metrics_out = arg.substr(14);
     else if (arg.rfind("--trace-out=", 0) == 0)
       trace_out = arg.substr(12);
@@ -135,9 +171,13 @@ int main(int argc, char** argv) {
       events_out = arg.substr(13);
     else if (arg.rfind("--samples-out=", 0) == 0)
       samples_out = arg.substr(14);
-    else if (arg.rfind("--slo-budget-ms=", 0) == 0)
-      slo_budget_ms = std::atof(arg.c_str() + 16);
-    else if (arg.rfind("--anomaly-out=", 0) == 0) {
+    else if (arg.rfind("--slo-budget-ms=", 0) == 0) {
+      const auto value = parse_number<double>(arg.substr(16));
+      if (!value || !std::isfinite(*value) || *value < 0.0)
+        return usage_error("--slo-budget-ms wants milliseconds >= 0, got '" +
+                           arg.substr(16) + "'");
+      slo_budget_ms = *value;
+    } else if (arg.rfind("--anomaly-out=", 0) == 0) {
       anomaly_out = arg.substr(14);
       anomaly_armed = true;
     } else if (arg.rfind("--anomaly-profile=", 0) == 0) {
@@ -155,11 +195,11 @@ int main(int argc, char** argv) {
         std::cerr << "fleet_audit: " << e.what() << "\n";
         return 2;
       }
-    } else if (arg.rfind("--", 0) != 0)
-      threads = static_cast<unsigned>(std::atoi(arg.c_str()));
-    else {
-      std::cerr << "fleet_audit: unknown flag " << arg << "\n";
-      return 2;
+    } else if (arg.rfind("--", 0) != 0) {
+      if (!set_threads(arg))
+        return usage_error("thread count wants a whole number >= 0, got '" + arg + "'");
+    } else {
+      return usage_error("unknown flag " + arg);
     }
   }
   const bool chaos = !fault_profile.empty();

@@ -16,9 +16,9 @@ namespace speccal::calib {
 
 namespace {
 
-PipelineConfig validate_and_resolve(const RunConfig& run) {
+PipelineConfig validated_pipeline(const RunConfig& run) {
   run.validate();
-  return run.resolved_pipeline();
+  return run.pipeline;
 }
 
 }  // namespace
@@ -28,7 +28,7 @@ FleetCalibrator::FleetCalibrator(CalibrationPipeline pipeline, FleetConfig confi
 
 FleetCalibrator::FleetCalibrator(WorldModel world, RunConfig run,
                                  FleetConfig fleet)
-    : pipeline_(std::move(world), validate_and_resolve(run)),
+    : pipeline_(std::move(world), validated_pipeline(run)),
       config_(std::move(fleet)),
       threads_(run.executor.threads) {
   if (config_.trace == nullptr) config_.trace = run.executor.trace;

@@ -1,12 +1,9 @@
 // Task-oriented run configuration for fleet calibration.
 //
-// RunConfig gathers what used to be scattered across PipelineConfig::retry
-// and FleetConfig::threads into one validated value: what to compute
-// (pipeline), how to survive faults (retry), and how to schedule it
-// (executor). FleetCalibrator's RunConfig constructor is the preferred
-// entry point; the old fields keep working as documented aliases —
-// PipelineConfig::retry when RunConfig::retry is default-constructed, and
-// FleetConfig::threads when RunConfig::executor.threads is 0.
+// RunConfig gathers one fleet run into one validated value: what to compute
+// and how to survive faults (pipeline, whose `retry` member is the one
+// per-stage fault policy), and how to schedule it (executor).
+// FleetCalibrator's RunConfig constructor is the preferred entry point.
 #pragma once
 
 #include "calib/executor.hpp"
@@ -17,26 +14,16 @@ namespace speccal::calib {
 
 struct RunConfig {
   /// What each node's calibration computes (stages, thresholds, world
-  /// interaction). Its `retry` member is a deprecated alias — see below.
+  /// interaction) and its per-stage fault policy (`pipeline.retry`).
   PipelineConfig pipeline;
-  /// Per-stage fault policy. When left default-constructed, the alias
-  /// `pipeline.retry` applies instead (so configs written against the old
-  /// API keep their meaning); any non-default value here wins.
-  RetryPolicy retry;
   /// Stage-graph executor: thread count and trace sink. `executor.threads`
-  /// of 0 defers to the deprecated alias FleetConfig::threads (and then to
-  /// hardware concurrency).
+  /// of 0 means hardware concurrency.
   ExecutorConfig executor;
 
   /// Throws std::invalid_argument naming the offending field (e.g.
-  /// "RunConfig.retry.max_attempts must be >= 1") when a value is out of
-  /// range. FleetCalibrator's RunConfig constructor calls this.
+  /// "RunConfig.pipeline.retry.max_attempts must be >= 1") when a value is
+  /// out of range. FleetCalibrator's RunConfig constructor calls this.
   void validate() const;
-
-  /// The PipelineConfig a calibrator should actually run: `pipeline` with
-  /// the canonical `retry` folded in (unless `retry` is default — then the
-  /// alias `pipeline.retry` is kept as-is).
-  [[nodiscard]] PipelineConfig resolved_pipeline() const;
 };
 
 }  // namespace speccal::calib

@@ -1,13 +1,15 @@
-// Overlap-save FFT convolution for long FIR filters on capture blocks.
+// Overlap-save FFT convolution: the one FIR engine production code runs.
 //
 // The emitter render path pushes every simulated capture through a 127-tap
-// channel shaper; direct time-domain convolution costs taps x samples MACs
-// per block and dominated per-node calibration wall time. FftConvolver
-// applies the same filter as a frequency-domain product over overlap-save
-// blocks built on the shared PlanCache, turning the per-sample cost into
-// O(log N). State (the taps-1 sample history) carries across filter_into
-// calls exactly like FirFilter::process, so the two are drop-in
-// equivalents within the documented float tolerance.
+// channel shaper, and the TV power meter band-passes every capture through
+// a 129-tap channel filter; direct time-domain convolution costs
+// taps x samples MACs per block and dominated per-node calibration wall
+// time. FftConvolver applies the filter as a frequency-domain product over
+// overlap-save blocks built on the shared PlanCache, turning the per-sample
+// cost into O(log N). State (the taps-1 sample history) carries across
+// filter_into calls exactly like the direct-form filter in dsp/fir.hpp,
+// which is kept only as the reference this engine is tested against
+// (kConvolverEquivalenceTolerance).
 #pragma once
 
 #include <complex>
@@ -21,21 +23,13 @@
 
 namespace speccal::dsp {
 
-/// Equivalence contract against FirFilter (double-accumulation direct
-/// convolution): for inputs with RMS amplitude <= 1 and unity-gain-scale
-/// taps, every output sample of FftConvolver is within this absolute
-/// distance of the direct result. Enforced by tests/test_convolver.cpp and
+/// Equivalence contract against the direct-form reference filter in
+/// dsp/fir.hpp (double-accumulation direct convolution): for inputs with
+/// RMS amplitude <= 1 and unity-gain-scale taps, every output sample of
+/// FftConvolver is within this absolute distance of the direct result. Enforced by tests/test_convolver.cpp and
 /// the bench/capture_path self-check; see DESIGN.md "Capture-path
 /// performance" for the derivation.
 inline constexpr float kConvolverEquivalenceTolerance = 1e-4f;
-
-/// Crossover heuristic: true when overlap-save FFT convolution is expected
-/// to beat direct time-domain convolution for `taps` filter taps applied to
-/// a block of `block_size` samples. Compares estimated real-op counts
-/// (direct: 8 ops per tap per sample in double; FFT: two float transforms
-/// plus a spectral product per overlap-save block).
-[[nodiscard]] bool prefer_fft_convolution(std::size_t taps,
-                                          std::size_t block_size) noexcept;
 
 /// Streaming overlap-save convolver for complex float samples with complex
 /// double taps. Not thread-safe: one instance per stream (the fleet engine
@@ -53,8 +47,8 @@ class FftConvolver {
                         std::size_t fft_size = 0);
 
   /// Filter a block; `out.size()` must equal `in.size()` (one output per
-  /// input, same alignment as FirFilter::process). History carries across
-  /// calls. `in` and `out` may not overlap.
+  /// input, same alignment as the direct-form filter). History carries
+  /// across calls. `in` and `out` may not overlap.
   void filter_into(std::span<const Sample> in, std::span<Sample> out);
 
   /// Allocating convenience overload.

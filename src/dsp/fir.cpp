@@ -79,15 +79,6 @@ std::complex<double> FirFilter::step(std::complex<float> s) noexcept {
   return acc;
 }
 
-void FirFilter::process(std::span<const std::complex<float>> in,
-                        std::vector<std::complex<float>>& out) {
-  out.reserve(out.size() + in.size());
-  for (const auto& s : in) {
-    const auto acc = step(s);
-    out.emplace_back(static_cast<float>(acc.real()), static_cast<float>(acc.imag()));
-  }
-}
-
 void FirFilter::filter_into(std::span<const std::complex<float>> in,
                             std::span<std::complex<float>> out) {
   if (out.size() != in.size())
@@ -96,12 +87,6 @@ void FirFilter::filter_into(std::span<const std::complex<float>> in,
     const auto acc = step(in[i]);
     out[i] = {static_cast<float>(acc.real()), static_cast<float>(acc.imag())};
   }
-}
-
-std::vector<std::complex<float>> FirFilter::filter(std::span<const std::complex<float>> in) {
-  std::vector<std::complex<float>> out;
-  process(in, out);
-  return out;
 }
 
 void FirFilter::reset() noexcept {
@@ -117,41 +102,6 @@ double FirFilter::magnitude_at(double freq_hz, double sample_rate_hz) const noex
     acc += taps_[t] * std::complex<double>(std::cos(phase), std::sin(phase));
   }
   return std::abs(acc);
-}
-
-MovingAverage::MovingAverage(std::size_t length) {
-  if (length == 0) throw std::invalid_argument("MovingAverage: zero length");
-  window_.assign(length, 0.0);
-}
-
-double MovingAverage::push(double value) noexcept {
-  sum_ -= window_[head_];
-  window_[head_] = value;
-  sum_ += value;
-  head_ = (head_ + 1) % window_.size();
-  if (count_ < window_.size()) ++count_;
-  // Re-sum exactly once per window length to cancel accumulated rounding.
-  if (++pushes_since_recompute_ >= window_.size() * 16) recompute();
-  return this->value();
-}
-
-double MovingAverage::value() const noexcept {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-void MovingAverage::reset() noexcept {
-  for (auto& v : window_) v = 0.0;
-  head_ = 0;
-  count_ = 0;
-  sum_ = 0.0;
-  pushes_since_recompute_ = 0;
-}
-
-void MovingAverage::recompute() noexcept {
-  double acc = 0.0;
-  for (double v : window_) acc += v;
-  sum_ = acc;
-  pushes_since_recompute_ = 0;
 }
 
 }  // namespace speccal::dsp

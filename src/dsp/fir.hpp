@@ -1,9 +1,11 @@
-// FIR filter design (windowed sinc) and streaming application.
+// FIR filter design (windowed sinc) and the direct-form reference filter.
 //
 // The TV power meter band-pass-filters one ATSC channel out of a wide
 // capture before integrating power (Parseval), exactly like the paper's
 // GNU Radio flowgraph. Filters are designed at runtime from the channel
-// edges, so the design code is part of the library proper.
+// edges, so the design code is part of the library proper. Production code
+// applies the designed taps through dsp::FftConvolver (dsp/convolver.hpp);
+// FirFilter is the direct time-domain convolution it is checked against.
 #pragma once
 
 #include <complex>
@@ -28,8 +30,11 @@ namespace speccal::dsp {
     double sample_rate_hz, double low_hz, double high_hz, std::size_t taps,
     WindowType window = WindowType::kHamming);
 
-/// Streaming FIR for complex float samples with complex double taps.
-/// process() can be called repeatedly; state carries across calls.
+/// Direct-form streaming FIR for complex float samples with complex double
+/// taps: the double-accumulation reference that dsp::FftConvolver (the
+/// production engine) is held to within kConvolverEquivalenceTolerance in
+/// tests/test_convolver.cpp and bench/capture_path. filter_into() can be
+/// called repeatedly; state carries across calls.
 ///
 /// The delay line is stored doubled (each sample written twice, n apart) so
 /// every output is one contiguous complex-double dot product of the
@@ -41,21 +46,10 @@ class FirFilter {
  public:
   explicit FirFilter(std::vector<std::complex<double>> taps);
 
-  /// Filter a block, appending outputs (one per input) to `out`.
-  void process(std::span<const std::complex<float>> in,
-               std::vector<std::complex<float>>& out);
-
-  /// Allocation-free variant: filter a block into a caller-owned span of
-  /// the same length (one output per input; `in` and `out` may not
-  /// overlap). Same streaming state as process(). The fast path for short
-  /// blocks where FFT convolution does not pay off — see
-  /// dsp::prefer_fft_convolution.
+  /// Filter a block into a caller-owned span of the same length (one
+  /// output per input; `in` and `out` may not overlap).
   void filter_into(std::span<const std::complex<float>> in,
                    std::span<std::complex<float>> out);
-
-  /// Convenience: filter a whole block and return the result.
-  [[nodiscard]] std::vector<std::complex<float>> filter(
-      std::span<const std::complex<float>> in);
 
   void reset() noexcept;
 
@@ -71,32 +65,6 @@ class FirFilter {
   std::vector<std::complex<double>> rev_taps_;  // reversed, for the dot kernel
   std::vector<std::complex<double>> delay_;     // doubled circular history (2n)
   std::size_t pos_ = 0;                         // write slot in [0, n)
-};
-
-/// Running mean over a fixed-length rectangular window ("very long moving
-/// average filter" from the paper, applied to |x|^2). Uses a double
-/// accumulator plus periodic exact recomputation to bound float drift.
-class MovingAverage {
- public:
-  explicit MovingAverage(std::size_t length);
-
-  /// Push one value, returns the current mean over the last `length`
-  /// values (partial mean until the window has filled).
-  double push(double value) noexcept;
-
-  [[nodiscard]] double value() const noexcept;
-  [[nodiscard]] bool full() const noexcept { return count_ >= window_.size(); }
-  [[nodiscard]] std::size_t length() const noexcept { return window_.size(); }
-  void reset() noexcept;
-
- private:
-  void recompute() noexcept;
-
-  std::vector<double> window_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::size_t pushes_since_recompute_ = 0;
-  double sum_ = 0.0;
 };
 
 }  // namespace speccal::dsp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/fir.hpp"
 #include "dsp/nco.hpp"
 #include "util/units.hpp"
 
@@ -44,7 +45,6 @@ void FixedEmitterSource::render(const CaptureContext& ctx,
   if (shaper_taps_.empty() || !(key == filter_key_)) {
     shaper_taps_ =
         dsp::design_bandpass(ctx.sample_rate_hz, clipped_low, clipped_high, 127);
-    direct_shaper_.reset();
     fft_shaper_.reset();
     filter_key_ = key;
     ++shaper_rebuilds_;
@@ -65,21 +65,11 @@ void FixedEmitterSource::render(const CaptureContext& ctx,
     s = dsp::Sample(static_cast<float>(rng_.normal()), static_cast<float>(rng_.normal()));
   auto shaped = scratch_.shaped(total);
 
-  // Crossover: block convolution wins for long filters on full capture
-  // buffers; tiny blocks stay on the direct path.
-  if (dsp::prefer_fft_convolution(shaper_taps_.size(), total)) {
-    if (fft_shaper_ == nullptr)
-      fft_shaper_ = std::make_unique<dsp::FftConvolver>(shaper_taps_);
-    else
-      fft_shaper_->reset();
-    fft_shaper_->filter_into(white, shaped);
-  } else {
-    if (direct_shaper_ == nullptr)
-      direct_shaper_ = std::make_unique<dsp::FirFilter>(shaper_taps_);
-    else
-      direct_shaper_->reset();
-    direct_shaper_->filter_into(white, shaped);
-  }
+  if (fft_shaper_ == nullptr)
+    fft_shaper_ = std::make_unique<dsp::FftConvolver>(shaper_taps_);
+  else
+    fft_shaper_->reset();
+  fft_shaper_->filter_into(white, shaped);
   const auto steady = shaped.subspan(prime, n);
 
   double fraction_in_band = 1.0;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "dsp/convolver.hpp"
-#include "dsp/fir.hpp"
 #include "geo/wgs84.hpp"
 #include "prop/linkbudget.hpp"
 #include "sdr/render_scratch.hpp"
@@ -59,8 +58,8 @@ class FixedEmitterSource final : public SignalSource {
   [[nodiscard]] RenderScratch::Stats render_scratch_stats() const noexcept {
     return scratch_.stats();
   }
-  /// Bytes reserved inside the FFT convolver's scratch (0 until the FFT
-  /// path has run; monotone afterwards).
+  /// Bytes reserved inside the FFT convolver's scratch (0 until the first
+  /// render; monotone afterwards).
   [[nodiscard]] std::size_t convolver_scratch_bytes() const noexcept {
     return fft_shaper_ ? fft_shaper_->scratch_capacity_bytes() : 0;
   }
@@ -69,8 +68,8 @@ class FixedEmitterSource final : public SignalSource {
   EmitterConfig config_;
   util::Rng rng_;
   // Cached channel-shaping filter, rebuilt when the tuning changes. The
-  // taps are designed once per tuning; the direct and FFT engines are
-  // built lazily from them (the per-render crossover heuristic picks one).
+  // taps are designed once per tuning; the FFT convolver is built lazily
+  // from them on the first render.
   struct FilterKey {
     double sample_rate_hz = 0.0;
     double low_hz = 0.0;
@@ -79,7 +78,6 @@ class FixedEmitterSource final : public SignalSource {
   };
   FilterKey filter_key_;
   std::vector<std::complex<double>> shaper_taps_;
-  std::unique_ptr<dsp::FirFilter> direct_shaper_;
   std::unique_ptr<dsp::FftConvolver> fft_shaper_;
   RenderScratch scratch_;
   std::size_t shaper_rebuilds_ = 0;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "dsp/fir.hpp"
 #include "dsp/iq.hpp"
 #include "obs/metrics.hpp"
 #include "util/units.hpp"
@@ -62,7 +63,8 @@ PowerMeterConfig validated(PowerMeterConfig config) {
 
 PowerMeter::PowerMeter(PowerMeterConfig config)
     : config_(validated(config)),
-      // Designed once per meter; a sweep re-uses the taps for every channel.
+      // Designed and transformed once per meter; a sweep re-uses the tap
+      // spectrum for every channel.
       filter_(dsp::design_bandpass(config_.sample_rate_hz,
                                    -config_.measure_bandwidth_hz / 2.0,
                                    config_.measure_bandwidth_hz / 2.0,
@@ -109,20 +111,17 @@ bool PowerMeter::pilot_present(std::span<const dsp::Sample> capture) const {
 
 double PowerMeter::integrate_time_domain(std::span<const dsp::Sample> capture,
                                          std::size_t& samples_used) const {
-  filter_.reset();
-  filtered_.clear();
-  filter_.process(capture, filtered_);
-
-  // |x|^2 through a long moving average (Parseval: time-domain power equals
-  // the in-band spectral power after the band-pass).
   const std::size_t warmup = config_.filter_taps;
-  if (filtered_.size() <= warmup) return 0.0;
-  dsp::MovingAverage avg(filtered_.size() - warmup);
-  double mean = 0.0;
-  for (std::size_t i = warmup; i < filtered_.size(); ++i)
-    mean = avg.push(static_cast<double>(std::norm(filtered_[i])));
-  samples_used = filtered_.size() - warmup;
-  return mean;
+  if (capture.size() <= warmup) return 0.0;
+  filtered_.resize(capture.size());
+  filter_.reset();
+  filter_.filter_into(capture, filtered_);
+
+  // Mean |x|^2 past the filter warm-up (Parseval: time-domain power equals
+  // the in-band spectral power after the band-pass). The paper's "very long
+  // moving average" spans the whole block, so its final value is this mean.
+  samples_used = capture.size() - warmup;
+  return dsp::mean_power(std::span<const dsp::Sample>(filtered_).subspan(warmup));
 }
 
 double PowerMeter::integrate_spectral(std::span<const dsp::Sample> capture,

@@ -3,20 +3,23 @@
 // Pipeline (quoting §3.2): fixed SDR gain (no AGC), band-pass filter the
 // desired ATSC channel, then "apply Parseval's identity" by running the
 // magnitude-squared time-domain samples through a very long moving-average
-// filter. The result is reported in dBFS, as in Figure 4.
+// filter. The average spans the whole capture past the filter warm-up, so
+// its one output is the block's mean power. The result is reported in
+// dBFS, as in Figure 4.
 //
 // The meter is plan-based: the band-pass FIR is designed once at
-// construction and the filter/scratch buffers are reused across
-// measurements, so a sweep's steady state performs no per-channel design
-// work. A second integration method (Method::kSpectral) computes the same
-// in-band power from a plan-cached Welch PSD — Parseval's identity makes
-// the two agree, and the spectral path shares its FFT plan with every
-// other measurement in the process.
+// construction and applied through the overlap-save dsp::FftConvolver; the
+// filter/scratch buffers are reused across measurements, so a sweep's
+// steady state performs no per-channel design work. A second integration
+// method (Method::kSpectral) computes the same in-band power from a
+// plan-cached Welch PSD — Parseval's identity makes the two agree, and the
+// spectral path shares its FFT plan with every other measurement in the
+// process.
 #pragma once
 
 #include <vector>
 
-#include "dsp/fir.hpp"
+#include "dsp/convolver.hpp"
 #include "dsp/goertzel.hpp"
 #include "dsp/welch.hpp"
 #include "sdr/device.hpp"
@@ -63,16 +66,16 @@ struct PowerMeterConfig {
                                    // high enough that weak channels stay above
                                    // the ADC quantization floor.
   std::size_t filter_taps = 129;
-  /// Capture length [s]; the moving average spans the whole capture minus
-  /// the filter warm-up.
+  /// Capture length [s]; the average spans the whole capture minus the
+  /// filter warm-up.
   double capture_duration_s = 0.02;
   /// Pass-band width measured inside the channel (8VSB occupies ~5.38 MHz).
   double measure_bandwidth_hz = 5.38e6;
 
   /// How the in-band power is integrated.
   enum class Method {
-    /// Band-pass FIR + |x|^2 + long moving average — the paper's GNU Radio
-    /// pipeline and the default.
+    /// Band-pass FIR + mean |x|^2 (the paper's whole-capture moving
+    /// average) — the paper's GNU Radio pipeline and the default.
     kTimeDomain,
     /// Plan-based Welch PSD + band integration over the measurement
     /// bandwidth. Parseval's identity makes this agree with kTimeDomain;
@@ -134,7 +137,7 @@ class PowerMeter {
   PowerMeterConfig config_;
   // Per-measurement scratch (reset/reused each call); mutable so the
   // measurement API stays const like every other read-only evaluator.
-  mutable dsp::FirFilter filter_;
+  mutable dsp::FftConvolver filter_;
   mutable dsp::Buffer filtered_;
   mutable dsp::WelchEstimator welch_;
   mutable dsp::WelchResult psd_;

@@ -84,7 +84,6 @@ void calibrate(cal::NodeRegistry& registry, bool armed,
   const auto world = sc::make_world(kSeed);
   cal::RunConfig run;
   run.pipeline = fleet_config(armed);
-  run.retry = run.pipeline.retry;
   run.executor.threads = 2;
   cal::FleetCalibrator calibrator(world, run);
   const auto summary = calibrator.run(fleet_jobs(world, 20, profile), registry);

@@ -169,67 +169,18 @@ TEST(Fir, BandpassSelectsBand) {
   EXPECT_LT(f.magnitude_at(0.0, 8e6), 0.05);
 }
 
-TEST(Fir, StreamingMatchesBlock) {
-  const auto taps = d::design_bandpass(1e6, -100e3, 100e3, 31);
-  speccal::util::Rng rng(8);
-  std::vector<std::complex<float>> x(500);
-  for (auto& v : x)
-    v = {static_cast<float>(rng.normal()), static_cast<float>(rng.normal())};
-
-  d::FirFilter whole(taps);
-  const auto want = whole.filter(x);
-
-  d::FirFilter chunked(taps);
-  std::vector<std::complex<float>> got;
-  chunked.process(std::span(x).subspan(0, 123), got);
-  chunked.process(std::span(x).subspan(123, 200), got);
-  chunked.process(std::span(x).subspan(323), got);
-
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got[i].real(), want[i].real(), 1e-5);
-    EXPECT_NEAR(got[i].imag(), want[i].imag(), 1e-5);
-  }
-}
-
 TEST(Fir, ResetClearsState) {
   const auto taps = d::design_lowpass(1e6, 100e3, 15);
   std::vector<std::complex<double>> ctaps(taps.begin(), taps.end());
   d::FirFilter f(ctaps);
-  std::vector<std::complex<float>> ones(20, {1.0f, 0.0f});
-  const auto first = f.filter(ones);
+  const std::vector<std::complex<float>> ones(20, {1.0f, 0.0f});
+  std::vector<std::complex<float>> first(ones.size());
+  std::vector<std::complex<float>> second(ones.size());
+  f.filter_into(ones, first);
   f.reset();
-  const auto second = f.filter(ones);
+  f.filter_into(ones, second);
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_NEAR(first[i].real(), second[i].real(), 1e-9);
-}
-
-// ------------------------------------------------------- moving average ----
-
-TEST(MovingAverage, ExactOverWindow) {
-  d::MovingAverage avg(4);
-  EXPECT_DOUBLE_EQ(avg.push(1.0), 1.0);       // partial means while filling
-  EXPECT_DOUBLE_EQ(avg.push(2.0), 1.5);
-  EXPECT_DOUBLE_EQ(avg.push(3.0), 2.0);
-  EXPECT_DOUBLE_EQ(avg.push(4.0), 2.5);
-  EXPECT_TRUE(avg.full());
-  EXPECT_DOUBLE_EQ(avg.push(5.0), 3.5);       // window is now {2,3,4,5}
-}
-
-TEST(MovingAverage, LongRunNoDrift) {
-  d::MovingAverage avg(1000);
-  double last = 0.0;
-  for (int i = 0; i < 100000; ++i) last = avg.push(0.125);
-  EXPECT_NEAR(last, 0.125, 1e-12);
-}
-
-TEST(MovingAverage, RejectsZeroLengthAndResets) {
-  EXPECT_THROW(d::MovingAverage(0), std::invalid_argument);
-  d::MovingAverage avg(3);
-  (void)avg.push(9.0);
-  avg.reset();
-  EXPECT_DOUBLE_EQ(avg.value(), 0.0);
-  EXPECT_FALSE(avg.full());
 }
 
 // ------------------------------------------------------------------ nco ----

@@ -289,9 +289,8 @@ TEST(FirSimd, MatchesDirectConvolution) {
   std::vector<CDouble> taps(taps_f.size());
   for (std::size_t i = 0; i < taps_f.size(); ++i) taps[i] = taps_f[i];
   d::FirFilter fir(taps);
-  std::vector<CFloat> got;
-  fir.process(x, got);
-  ASSERT_EQ(got.size(), x.size());
+  std::vector<CFloat> got(x.size());
+  fir.filter_into(x, got);
   for (std::size_t i = 0; i < x.size(); ++i) {
     CDouble acc{};
     for (std::size_t j = 0; j < taps_f.size() && j <= i; ++j)

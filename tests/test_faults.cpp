@@ -538,9 +538,8 @@ TEST(ChaosFleet, Flaky20ProfileRecoversAndQuarantinesAsScripted) {
 
   cal::RunConfig run;
   run.pipeline = chaos_config();
-  run.retry = run.pipeline.retry;
-  run.retry.max_attempts = profile.retry_max_attempts;
-  run.retry.initial_backoff_s = profile.initial_backoff_s;
+  run.pipeline.retry.max_attempts = profile.retry_max_attempts;
+  run.pipeline.retry.initial_backoff_s = profile.initial_backoff_s;
   run.executor.threads = 4;
   cal::FleetCalibrator calibrator(world, run);
   cal::NodeRegistry registry;

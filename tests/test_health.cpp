@@ -65,11 +65,10 @@ std::vector<cal::FleetJob> fleet_jobs(const cal::WorldModel& world,
 cal::RunConfig chaos_run(const sdr::FaultProfile& profile) {
   cal::RunConfig run;
   run.pipeline = chaos_config();
-  run.retry = run.pipeline.retry;
   if (profile.retry_max_attempts > 0)
-    run.retry.max_attempts = profile.retry_max_attempts;
+    run.pipeline.retry.max_attempts = profile.retry_max_attempts;
   if (profile.initial_backoff_s > 0.0)
-    run.retry.initial_backoff_s = profile.initial_backoff_s;
+    run.pipeline.retry.initial_backoff_s = profile.initial_backoff_s;
   run.executor.threads = 2;
   return run;
 }
