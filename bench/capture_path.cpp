@@ -4,15 +4,17 @@
 // FirFilter equivalence self-check (nonzero exit on failure — CI gates on
 // it).
 //
-// "pre" variants are verbatim copies of the pre-PR implementations kept
+// "pre" variants are verbatim copies of the earlier implementations kept
 // inside this bench (direct double-accumulation FIR with per-render buffer
-// allocation; sin/cos-per-sample NCO), so the comparison stays honest after
-// the library paths were rebuilt.
+// allocation; sin/cos-per-sample NCO; Box-Muller thermal noise; std::round
+// ADC quantizer), so the comparison stays honest after the library paths
+// were rebuilt.
 //
 // Usage: capture_path [--json=PATH] [--iters=N]
 //   --json defaults to BENCH_capture.json; --iters caps each variant's
 //   timing loop (0 = auto-calibrate to ~0.25 s per variant; CI passes a
 //   small fixed count).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -116,6 +118,25 @@ class Renderer {
   double pilot_freq_hz_;
   double pilot_rel_db_;
 };
+
+/// The earlier SimulatedSdr thermal-noise loop, verbatim: two Box-Muller
+/// draws (log, sqrt, sin, cos per pair) per complex sample.
+void add_thermal_noise(std::span<dsp::Sample> buf, double sigma, util::Rng& rng) {
+  for (auto& s : buf)
+    s += dsp::Sample(static_cast<float>(rng.normal(0.0, sigma)),
+                     static_cast<float>(rng.normal(0.0, sigma)));
+}
+
+/// The earlier SimulatedSdr quantizer, verbatim: two std::round calls per
+/// complex sample.
+void quantize(std::span<dsp::Sample> buf, int adc_bits) noexcept {
+  const double levels = static_cast<double>(1 << (adc_bits - 1));
+  auto q = [&](float v) {
+    const double clipped = std::clamp(static_cast<double>(v), -1.0, 1.0);
+    return static_cast<float>(std::round(clipped * levels) / levels);
+  };
+  for (auto& s : buf) s = dsp::Sample(q(s.real()), q(s.imag()));
+}
 
 }  // namespace legacy
 
@@ -396,7 +417,48 @@ int main(int argc, char** argv) {
                           block_post.samples_per_s / post.samples_per_s);
   }
 
-  // Stage 4: the full simulated capture (render + noise + gain + ADC),
+  // Stage 4: thermal noise -- Box-Muller vs the ziggurat. The post loop is
+  // SimulatedSdr::add_thermal_noise's body (the method is private).
+  {
+    constexpr double kSigma = 1e-6;  // ~ -104 dBm over 8 MHz, in sqrt-mW
+    dsp::Buffer accum(kBlock);
+    util::Rng pre_rng(31), post_rng(31);
+    const auto pre = time_variant("thermal_noise", "pre_box_muller", iters, [&] {
+      legacy::add_thermal_noise(accum, kSigma, pre_rng);
+    });
+    const auto post = time_variant("thermal_noise", "post_ziggurat", iters, [&] {
+      for (auto& s : accum) {
+        const auto re = static_cast<float>(kSigma * post_rng.ziggurat_normal());
+        const auto im = static_cast<float>(kSigma * post_rng.ziggurat_normal());
+        s += dsp::Sample(re, im);
+      }
+    });
+    rows.push_back(pre);
+    rows.push_back(post);
+    speedups.emplace_back("thermal_noise", post.samples_per_s / pre.samples_per_s);
+  }
+
+  // Stage 5: 12-bit ADC quantizer -- std::round vs the inline rounding. Both
+  // run on a fresh copy of one noise block at about -12 dBFS, so every
+  // pass sees the same unclipped, unquantized input.
+  {
+    auto in = noise_block(kBlock, 9);
+    for (auto& v : in) v *= 0.18f;
+    dsp::Buffer buf(kBlock);
+    const auto pre = time_variant("quantize", "pre_std_round", iters, [&] {
+      std::copy(in.begin(), in.end(), buf.begin());
+      legacy::quantize(buf, 12);
+    });
+    const auto post = time_variant("quantize", "post_inline_round", iters, [&] {
+      std::copy(in.begin(), in.end(), buf.begin());
+      sdr::quantize(buf, 12);
+    });
+    rows.push_back(pre);
+    rows.push_back(post);
+    speedups.emplace_back("quantize", post.samples_per_s / pre.samples_per_s);
+  }
+
+  // Stage 6: the full simulated capture (render + noise + gain + ADC),
   // post only — the end-to-end number fleet nodes actually pay.
   {
     sdr::SimulatedSdr dev(sdr::SimulatedSdr::bladerf_like_info(), scene.rx,

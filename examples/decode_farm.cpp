@@ -11,7 +11,6 @@
 // exits 2 on any mismatch, which is the round-trip gate CI runs. Lossy
 // encodings skip the gate and report the per-node trust-score deltas
 // instead, showing what 2-4x wire compression costs in calibration terms.
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -26,6 +25,8 @@
 #include "sdr/sim.hpp"
 #include "util/table.hpp"
 
+#include "cli_number.hpp"
+
 using namespace speccal;
 
 namespace {
@@ -39,6 +40,17 @@ struct Options {
   unsigned calibrate_threads = 2;
   std::size_t queue_capacity = 0;  // 0 = sized to hold the whole stream
 };
+
+constexpr const char* kUsage =
+    "usage: decode_farm [--nodes=N] [--encoding=float32|float16|fixed8|fixed12]\n"
+    "                   [--decode-threads=N] [--calibrate-threads=N]\n"
+    "                   [--queue-capacity=N]\n";
+
+/// Reports a bad command line and returns the usage exit code (2).
+int usage_error(const std::string& why) {
+  std::cerr << "decode_farm: " << why << "\n" << kUsage;
+  return 2;
+}
 
 bool parse_encoding(const std::string& name, net::Encoding& out) {
   if (name == "float32") out = net::Encoding::kFloat32;
@@ -59,27 +71,42 @@ std::string report_fingerprint(const calib::CalibrationReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Command line: see kUsage. Malformed numbers, unknown encodings and
+  // unknown flags print the usage and exit 2. Nodes and decode threads
+  // need >= 1; calibrate threads take 0 (hardware concurrency) and queue
+  // capacity takes 0 (sized to hold the whole stream).
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--nodes=", 0) == 0) {
-      opt.nodes = std::stoul(arg.substr(8));
+      const auto value = cli::parse_number<std::size_t>(arg.substr(8));
+      if (!value || *value == 0)
+        return usage_error("--nodes wants a whole number >= 1, got '" +
+                           arg.substr(8) + "'");
+      opt.nodes = *value;
     } else if (arg.rfind("--encoding=", 0) == 0) {
-      if (!parse_encoding(arg.substr(11), opt.encoding)) {
-        std::cerr << "unknown encoding (float32|float16|fixed8|fixed12)\n";
-        return 1;
-      }
+      if (!parse_encoding(arg.substr(11), opt.encoding))
+        return usage_error("unknown encoding '" + arg.substr(11) + "'");
     } else if (arg.rfind("--decode-threads=", 0) == 0) {
-      opt.decode_threads = static_cast<unsigned>(std::stoul(arg.substr(17)));
+      const auto value = cli::parse_number<unsigned>(arg.substr(17));
+      if (!value || *value == 0)
+        return usage_error("--decode-threads wants a whole number >= 1, got '" +
+                           arg.substr(17) + "'");
+      opt.decode_threads = *value;
     } else if (arg.rfind("--calibrate-threads=", 0) == 0) {
-      opt.calibrate_threads = static_cast<unsigned>(std::stoul(arg.substr(20)));
+      const auto value = cli::parse_number<unsigned>(arg.substr(20));
+      if (!value)
+        return usage_error("--calibrate-threads wants a whole number >= 0, got '" +
+                           arg.substr(20) + "'");
+      opt.calibrate_threads = *value;
     } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-      opt.queue_capacity = std::stoul(arg.substr(17));
+      const auto value = cli::parse_number<std::size_t>(arg.substr(17));
+      if (!value)
+        return usage_error("--queue-capacity wants a whole number >= 0, got '" +
+                           arg.substr(17) + "'");
+      opt.queue_capacity = *value;
     } else {
-      std::cerr << "usage: decode_farm [--nodes=N] [--encoding=E]\n"
-                   "                   [--decode-threads=N] [--calibrate-threads=N]\n"
-                   "                   [--queue-capacity=N]\n";
-      return 1;
+      return usage_error("unknown flag " + arg);
     }
   }
 

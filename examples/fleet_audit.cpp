@@ -11,7 +11,6 @@
 // view — trust ranking, verified capabilities, who can serve a concrete
 // monitoring request — plus the fleet-wide stage-timing percentiles from
 // the pipeline's instrumentation layer.
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -31,6 +30,8 @@
 #include "scenario/testbed.hpp"
 #include "sdr/fault.hpp"
 #include "util/table.hpp"
+
+#include "cli_number.hpp"
 
 using namespace speccal;
 
@@ -97,17 +98,6 @@ int usage_error(const std::string& why) {
   return 2;
 }
 
-/// Whole-string parse: empty text, a sign, non-numeric characters,
-/// trailing junk or an out-of-range value all fail (no atoi coercion).
-template <typename T>
-std::optional<T> parse_number(std::string_view text) {
-  T value{};
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,7 +135,7 @@ int main(int argc, char** argv) {
   bool anomaly_armed = false;
   // Thread counts take 0 (hardware concurrency); fleets need >= 1 node.
   const auto set_threads = [&threads](std::string_view text) {
-    const auto value = parse_number<unsigned>(text);
+    const auto value = cli::parse_number<unsigned>(text);
     if (value) threads = *value;
     return value.has_value();
   };
@@ -156,7 +146,7 @@ int main(int argc, char** argv) {
         return usage_error("--threads wants a whole number >= 0, got '" +
                            arg.substr(10) + "'");
     } else if (arg.rfind("--nodes=", 0) == 0) {
-      const auto value = parse_number<std::size_t>(arg.substr(8));
+      const auto value = cli::parse_number<std::size_t>(arg.substr(8));
       if (!value || *value == 0)
         return usage_error("--nodes wants a whole number >= 1, got '" +
                            arg.substr(8) + "'");
@@ -172,7 +162,7 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--samples-out=", 0) == 0)
       samples_out = arg.substr(14);
     else if (arg.rfind("--slo-budget-ms=", 0) == 0) {
-      const auto value = parse_number<double>(arg.substr(16));
+      const auto value = cli::parse_number<double>(arg.substr(16));
       if (!value || !std::isfinite(*value) || *value < 0.0)
         return usage_error("--slo-budget-ms wants milliseconds >= 0, got '" +
                            arg.substr(16) + "'");

@@ -129,9 +129,11 @@ void CellSignalSource::render(const sdr::CaptureContext& ctx,
   const float noise_amp =
       static_cast<float>(std::sqrt(total_mw / 2.0));  // per component
 
-  for (auto& s : accum)
-    s += dsp::Sample(noise_amp * static_cast<float>(rng_.normal()),
-                     noise_amp * static_cast<float>(rng_.normal()));
+  for (auto& s : accum) {
+    const auto re = noise_amp * static_cast<float>(rng_.ziggurat_normal());
+    const auto im = noise_amp * static_cast<float>(rng_.ziggurat_normal());
+    s += dsp::Sample(re, im);
+  }
 
   // PSS bursts every half frame, at this cell's frame phase.
   const int nid2 = static_cast<int>(cell_.pci % 3);

@@ -47,12 +47,11 @@ SegmentQueue::SegmentQueue(std::size_t capacity) : capacity_(capacity) {
   closed_gauge().set(0.0);
 }
 
-bool SegmentQueue::push_locked(Segment&& segment) {
+void SegmentQueue::push_locked(Segment&& segment) {
   ring_[(head_ + count_) % capacity_] = std::move(segment);
   ++count_;
   ++stats_.pushed;
   if (count_ > stats_.peak_depth) stats_.peak_depth = count_;
-  return true;
 }
 
 void SegmentQueue::pop_locked(Segment& out) {

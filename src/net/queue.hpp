@@ -62,7 +62,7 @@ class SegmentQueue {
   [[nodiscard]] Stats stats() const;
 
  private:
-  [[nodiscard]] bool push_locked(Segment&& segment);
+  void push_locked(Segment&& segment);
   void pop_locked(Segment& out);
 
   const std::size_t capacity_;

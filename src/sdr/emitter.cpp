@@ -61,8 +61,11 @@ void FixedEmitterSource::render(const CaptureContext& ctx,
   const std::size_t prime = shaper_taps_.size() - 1;
   const std::size_t total = n + prime;
   auto white = scratch_.white(total);
-  for (auto& s : white)
-    s = dsp::Sample(static_cast<float>(rng_.normal()), static_cast<float>(rng_.normal()));
+  for (auto& s : white) {
+    const auto re = static_cast<float>(rng_.ziggurat_normal());
+    const auto im = static_cast<float>(rng_.ziggurat_normal());
+    s = dsp::Sample(re, im);
+  }
   auto shaped = scratch_.shaped(total);
 
   if (fft_shaper_ == nullptr)

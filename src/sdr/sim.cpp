@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "obs/metrics.hpp"
 #include "prop/pathloss.hpp"
@@ -89,7 +90,7 @@ void SimulatedSdr::capture_into(std::span<dsp::Sample> out) {
       static_cast<float>(util::db_to_amplitude(gain - info_.full_scale_input_dbm));
   for (auto& s : out) s *= scale;
 
-  quantize(out);
+  quantize(out, info_.adc_bits);
   stream_time_s_ += static_cast<double>(count) / sample_rate_hz_;
 }
 
@@ -99,16 +100,26 @@ void SimulatedSdr::add_thermal_noise(std::span<dsp::Sample> buf) {
       prop::noise_floor_dbm(sample_rate_hz_, info_.noise_figure_db);
   // Per-component std dev so that E|n|^2 equals the noise power in mW.
   const double sigma = std::sqrt(util::dbm_to_watts(noise_dbm) * 1e3 / 2.0);
-  for (auto& s : buf)
-    s += dsp::Sample(static_cast<float>(rng_.normal(0.0, sigma)),
-                     static_cast<float>(rng_.normal(0.0, sigma)));
+  for (auto& s : buf) {
+    const auto re = static_cast<float>(sigma * rng_.ziggurat_normal());
+    const auto im = static_cast<float>(sigma * rng_.ziggurat_normal());
+    s += dsp::Sample(re, im);
+  }
 }
 
-void SimulatedSdr::quantize(std::span<dsp::Sample> buf) noexcept {
-  const double levels = static_cast<double>(1 << (info_.adc_bits - 1));
+void quantize(std::span<dsp::Sample> buf, int adc_bits) noexcept {
+  const double levels = static_cast<double>(1 << (adc_bits - 1));
+  const double step = 1.0 / levels;  // a power of two: exact
   auto q = [&](float v) {
-    const double clipped = std::clamp(static_cast<double>(v), -1.0, 1.0);
-    return static_cast<float>(std::round(clipped * levels) / levels);
+    // x = clamp(v) * levels is exact (a float times a power of two), so
+    // |x| + 0.5 is exact too and truncating it rounds half away from zero
+    // exactly as std::round does, without the libm call. Only NaN fails
+    // the range test; it passes through as NaN * step, as in std::round.
+    const double x = std::clamp(static_cast<double>(v), -1.0, 1.0) * levels;
+    const double ax = std::fabs(x);
+    if (!(ax <= levels)) return static_cast<float>(x * step);
+    const auto whole = static_cast<double>(static_cast<std::int64_t>(ax + 0.5));
+    return static_cast<float>(std::copysign(whole, x) * step);
   };
   for (auto& s : buf) s = dsp::Sample(q(s.real()), q(s.imag()));
 }

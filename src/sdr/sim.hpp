@@ -43,6 +43,11 @@ class SignalSource {
   virtual void render(const CaptureContext& ctx, std::span<dsp::Sample> accum) = 0;
 };
 
+/// The ADC: clip each component to [-1, 1] and round it half away from
+/// zero to the nearest of 2^(adc_bits-1) levels per unit. Bitwise equal to
+/// `std::round(clamp(v) * levels) / levels` for every non-signaling input.
+void quantize(std::span<dsp::Sample> buf, int adc_bits) noexcept;
+
 /// Software model of a wide-band receiver (defaults match a BladeRF-class
 /// device: 70 MHz - 6 GHz, 61.44 Msps max, 12-bit ADC).
 class SimulatedSdr final : public Device, public SimControl {
@@ -83,7 +88,6 @@ class SimulatedSdr final : public Device, public SimControl {
 
  private:
   void add_thermal_noise(std::span<dsp::Sample> buf);
-  void quantize(std::span<dsp::Sample> buf) noexcept;
 
   DeviceInfo info_;
   RxEnvironment rx_;

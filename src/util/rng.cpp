@@ -13,27 +13,28 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-[[nodiscard]] std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
+namespace detail {
+
+ZigguratTables::ZigguratTables() noexcept {
+  double fx = std::exp(-0.5 * kR * kR);
+  x[0] = kV / fx;
+  x[1] = kR;
+  for (int i = 2; i < kLayers; ++i) {
+    x[i] = std::sqrt(-2.0 * std::log(kV / x[i - 1] + fx));
+    fx = std::exp(-0.5 * x[i] * x[i]);
+  }
+  x[kLayers] = 0.0;
+  for (int i = 0; i <= kLayers; ++i) f[i] = std::exp(-0.5 * x[i] * x[i]);
+  for (int i = 0; i < kLayers; ++i) ratio[i] = x[i + 1] / x[i];
 }
-}  // namespace
+
+const ZigguratTables kZiggurat;
+
+}  // namespace detail
 
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 double Rng::uniform() noexcept {
@@ -68,6 +69,30 @@ double Rng::normal() noexcept {
   cached_normal_ = radius * std::sin(angle);
   has_cached_normal_ = true;
   return radius * std::cos(angle);
+}
+
+double Rng::ziggurat_edge(std::size_t layer, double u) noexcept {
+  constexpr double kR = detail::ZigguratTables::kR;
+  if (layer == 0) {
+    // Tail beyond R (Marsaglia 1964).
+    double tx = 0.0, ty = 0.0;
+    do {
+      double u1 = uniform();
+      while (u1 <= 0.0) u1 = uniform();
+      double u2 = uniform();
+      while (u2 <= 0.0) u2 = uniform();
+      tx = std::log(u1) / kR;
+      ty = std::log(u2);
+    } while (-2.0 * ty < tx * tx);
+    return u < 0.0 ? tx - kR : kR - tx;
+  }
+  // Wedge: accept x when a uniform height within the layer lies under f;
+  // otherwise start over with a fresh draw.
+  const auto& zig = detail::kZiggurat;
+  const double x = u * zig.x[layer];
+  const double height = zig.f[layer] + uniform() * (zig.f[layer + 1] - zig.f[layer]);
+  if (height < std::exp(-0.5 * x * x)) return x;
+  return ziggurat_normal();
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

@@ -129,8 +129,12 @@ TEST(Survey, ObstructionCreatesMisses) {
   const auto result = cal::AdsbSurvey(cfg).run(*fix.device, *fix.sky, *fix.gt);
   ASSERT_EQ(result.observations.size(), 2u);
   for (const auto& obs : result.observations) {
-    if (obs.icao == 1) EXPECT_TRUE(obs.received) << "east should pass";
-    if (obs.icao == 2) EXPECT_FALSE(obs.received) << "west 80 km blocked";
+    if (obs.icao == 1) {
+      EXPECT_TRUE(obs.received) << "east should pass";
+    }
+    if (obs.icao == 2) {
+      EXPECT_FALSE(obs.received) << "west 80 km blocked";
+    }
   }
 }
 

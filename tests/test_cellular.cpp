@@ -208,7 +208,7 @@ TEST(Pss, SequencesAreConstantModulusAndDistinct) {
     self += a[n] * std::conj(a[n]);
   }
   EXPECT_LT(std::abs(cross), 0.3 * std::abs(self));
-  EXPECT_THROW(c::pss_sequence(3), std::invalid_argument);
+  EXPECT_THROW((void)c::pss_sequence(3), std::invalid_argument);
 }
 
 TEST(Pss, TimeDomainUnitPower) {

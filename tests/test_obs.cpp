@@ -659,7 +659,7 @@ TEST(Sampler, RecordsOnlyChangedSeriesPerFrame) {
   obs::Registry reg;
   obs::Counter& c = reg.counter("speccal_test_sampled_total");
   obs::Gauge& g = reg.gauge("speccal_test_sampled_depth");
-  reg.gauge("speccal_test_sampled_idle");  // stays 0 forever
+  (void)reg.gauge("speccal_test_sampled_idle");  // stays 0 forever
   obs::Sampler sampler(reg);
 
   c.add(5);

@@ -134,7 +134,7 @@ TEST(AdversaryProfile, InlineJsonParses) {
 TEST(AdversaryProfile, MalformedJsonAndBadFieldsThrow) {
   // Parse errors carry the byte offset (fault-profile convention).
   try {
-    sc::make_adversary_profile(R"({"name":"x","nodes":[)");
+    (void)sc::make_adversary_profile(R"({"name":"x","nodes":[)");
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("at byte"), std::string::npos);

@@ -1,7 +1,13 @@
 // Unit tests: antenna model, simulated SDR front end, fixed emitters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "dsp/fft.hpp"
 #include "dsp/plan.hpp"
@@ -90,6 +96,105 @@ TEST(SimulatedSdr, NoiseFloorMatchesKtbPlusNf) {
   const double expected =
       speccal::prop::noise_floor_dbm(2e6, 7.0) + 40.0 - info.full_scale_input_dbm;
   EXPECT_NEAR(measured_dbfs, expected, 0.5);
+}
+
+TEST(SimulatedSdr, SourceFreeCaptureIsPinned) {
+  // Thermal noise alone, 8 samples at a gain that spreads it over ~100
+  // ADC codes. Any change to the per-sample noise stream (generator, draw
+  // order, scaling) or to the quantizer moves these codes, so such a
+  // change has to update them on purpose.
+  constexpr std::array<std::array<int, 2>, 8> kCodes = {
+      {{-38, -69}, {-69, 131}, {36, -177}, {-26, 236},
+       {85, -78}, {-17, 25}, {-42, 105}, {-124, -80}}};
+  s::SimulatedSdr dev(s::SimulatedSdr::bladerf_like_info(), open_site(), Rng(44));
+  dev.set_gain_mode(s::GainMode::kManual);
+  dev.set_gain_db(70.0);
+  ASSERT_TRUE(dev.tune(1e9, 2e6));
+  const auto buf = dev.capture(kCodes.size());
+  // 12-bit ADC: one code is 1/2048 of full scale.
+  for (std::size_t i = 0; i < kCodes.size(); ++i) {
+    EXPECT_EQ(buf[i].real() * 2048.0f, static_cast<float>(kCodes[i][0])) << "sample " << i;
+    EXPECT_EQ(buf[i].imag() * 2048.0f, static_cast<float>(kCodes[i][1])) << "sample " << i;
+  }
+}
+
+// ------------------------------------------------------------ quantizer ----
+
+namespace {
+/// The quantizer as it was written with libm: the bitwise reference.
+float reference_quantize(float v, int adc_bits) {
+  const double levels = static_cast<double>(1 << (adc_bits - 1));
+  const double clipped = std::clamp(static_cast<double>(v), -1.0, 1.0);
+  return static_cast<float>(std::round(clipped * levels) / levels);
+}
+
+bool is_signaling_nan(std::uint32_t bits) {
+  return (bits & 0x7F800000u) == 0x7F800000u && (bits & 0x007FFFFFu) != 0 &&
+         (bits & 0x00400000u) == 0;
+}
+
+/// Runs `inputs` through sdr::quantize (as the real parts, negated as the
+/// imaginary parts) and counts results that differ bitwise from the
+/// reference.
+std::size_t quantize_mismatches(const std::vector<float>& inputs, int adc_bits) {
+  std::vector<d::Sample> buf;
+  buf.reserve(inputs.size());
+  for (const float v : inputs) buf.emplace_back(v, -v);
+  s::quantize(buf, adc_bits);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const float v = inputs[i];
+    bad += std::bit_cast<std::uint32_t>(buf[i].real()) !=
+           std::bit_cast<std::uint32_t>(reference_quantize(v, adc_bits));
+    bad += std::bit_cast<std::uint32_t>(buf[i].imag()) !=
+           std::bit_cast<std::uint32_t>(reference_quantize(-v, adc_bits));
+  }
+  return bad;
+}
+}  // namespace
+
+TEST(Quantize, MatchesStdRoundOnStridedBitPatterns) {
+  // An odd stride visits ~1M patterns spread over every exponent, both
+  // signs, denormals and quiet-NaN payloads.
+  std::vector<float> inputs;
+  constexpr std::uint64_t kStride = 4093;
+  for (std::uint64_t b = 0; b < (1ull << 32); b += kStride) {
+    const auto bits = static_cast<std::uint32_t>(b);
+    if (!is_signaling_nan(bits)) inputs.push_back(std::bit_cast<float>(bits));
+  }
+  for (const int adc_bits : {8, 12, 16})
+    EXPECT_EQ(quantize_mismatches(inputs, adc_bits), 0u) << adc_bits << " bits";
+}
+
+TEST(Quantize, MatchesStdRoundAtEveryHalfLsbBoundary) {
+  // Round-half-away-from-zero is decided exactly at (k + 1/2) LSB; check
+  // each boundary and its float neighbours on both sides, plus full scale.
+  for (const int adc_bits : {8, 12}) {
+    const double levels = static_cast<double>(1 << (adc_bits - 1));
+    std::vector<float> inputs;
+    for (double k = -levels - 1.0; k <= levels; k += 1.0) {
+      const auto edge = static_cast<float>((k + 0.5) / levels);
+      inputs.push_back(edge);
+      inputs.push_back(std::nextafter(edge, -2.0f));
+      inputs.push_back(std::nextafter(edge, 2.0f));
+    }
+    for (const float v : {1.0f, -1.0f, std::nextafter(1.0f, 2.0f), std::nextafter(-1.0f, -2.0f)})
+      inputs.push_back(v);
+    EXPECT_EQ(quantize_mismatches(inputs, adc_bits), 0u) << adc_bits << " bits";
+  }
+}
+
+TEST(Quantize, SignedZerosInfinitiesAndNan) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> inputs = {0.0f, -0.0f, kInf, -kInf,
+                                     std::numeric_limits<float>::quiet_NaN(),
+                                     -std::numeric_limits<float>::quiet_NaN()};
+  EXPECT_EQ(quantize_mismatches(inputs, 12), 0u);
+  std::vector<d::Sample> buf = {{-0.0f, 1e-30f}, {kInf, -kInf}};
+  s::quantize(buf, 12);
+  EXPECT_TRUE(std::signbit(buf[0].real()));  // -0 stays -0
+  EXPECT_EQ(buf[0].imag(), 0.0f);
+  EXPECT_EQ(buf[1], d::Sample(1.0f, -1.0f));  // clipped to full scale
 }
 
 TEST(SimulatedSdr, GainMapsDbmToDbfs) {
